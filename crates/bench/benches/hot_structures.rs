@@ -10,10 +10,10 @@
 //! artifact.
 
 use ariadne_compress::reference::scalar_codec;
-use ariadne_compress::{Algorithm, ChunkSize};
+use ariadne_compress::{Algorithm, ChunkSize, ChunkedCodec};
 use ariadne_mem::{AppId, FlashDevice, Hotness, PageId, Pfn, WriteRequest, Zpool, PAGE_SIZE};
 use ariadne_zram::CompressionOracle;
-use criterion::{criterion_group, criterion_main, Criterion};
+use criterion::{criterion_group, criterion_main, Criterion, Throughput};
 
 const APPS: u32 = 8;
 const PAGES_PER_APP: u64 = 512;
@@ -165,30 +165,50 @@ fn kernel_corpus() -> Vec<u8> {
 
 /// Compress the corpus page by page with every algorithm, once with the
 /// production word-wide kernel and once with the scalar reference loop the
-/// kernel replaced. The pair of numbers makes the SWAR speedup (or a
-/// regression) directly visible per algorithm.
+/// kernel replaced, plus LZO through `ChunkedCodec::compressed_len_only` at
+/// 4 KiB chunks (what an oracle miss runs). Each line reports MB/s over the
+/// corpus, so the SWAR speedup (or a regression) is directly visible per
+/// algorithm.
 fn compression_kernels(c: &mut Criterion) {
     let corpus = kernel_corpus();
-    for algorithm in Algorithm::ALL {
-        let variants: [(&str, Box<dyn ariadne_compress::Codec>); 2] = [
-            ("swar", algorithm.codec()),
-            ("scalar", scalar_codec(algorithm)),
-        ];
-        for (label, codec) in variants {
-            let mut out = Vec::with_capacity(2 * PAGE_SIZE);
-            c.bench_function(format!("kernel_{algorithm}_{label}"), |b| {
-                b.iter(|| {
-                    let mut total = 0usize;
-                    for page in corpus.chunks(PAGE_SIZE) {
-                        out.clear();
-                        codec.compress_into(page, &mut out).expect("compress");
-                        total += out.len();
-                    }
-                    total
-                })
-            });
+    let mut kernel = |name: String, compressed_len: &dyn Fn(&[u8], &mut Vec<u8>) -> usize| {
+        let mut out = Vec::with_capacity(2 * PAGE_SIZE);
+        let mut group = c.benchmark_group(name);
+        group.throughput(Throughput::BytesDecimal(corpus.len() as u64));
+        group.bench_function("", |b| {
+            b.iter(|| {
+                corpus
+                    .chunks(PAGE_SIZE)
+                    .map(|page| compressed_len(page, &mut out))
+                    .sum::<usize>()
+            })
+        });
+        group.finish();
+    };
+    let encode = |codec: Box<dyn ariadne_compress::Codec>| {
+        move |page: &[u8], out: &mut Vec<u8>| {
+            out.clear();
+            codec.compress_into(page, out).expect("compress");
+            out.len()
         }
+    };
+    for algorithm in Algorithm::ALL {
+        kernel(
+            format!("kernel_{algorithm}_swar"),
+            &encode(algorithm.codec()),
+        );
+        kernel(
+            format!("kernel_{algorithm}_scalar"),
+            &encode(scalar_codec(algorithm)),
+        );
     }
+    let chunked = ChunkedCodec::new(Algorithm::Lzo, ChunkSize::k4());
+    kernel("kernel_lzo_len_only".to_string(), &|page, out| {
+        chunked
+            .compressed_len_only(page, out)
+            .expect("compress")
+            .compressed_len
+    });
 }
 
 /// The observability primitives that sit on simulation hot paths: a counter

@@ -50,6 +50,22 @@ fn flip_loop_page(len: usize, stride: usize, rounds: usize) -> Vec<u8> {
     page
 }
 
+/// Periodic data with noise perturbations: dense match candidates,
+/// adversarial for the lazy-match and chain-walk order.
+fn periodic_with_noise(period: usize, len: usize, seed: u64) -> Vec<u8> {
+    let noise = splitmix64_bytes(seed, len);
+    (0..len)
+        .map(|i| {
+            let base = ((i / period) % 7 + i % period) as u8;
+            if noise[i] < 12 {
+                noise[i]
+            } else {
+                base
+            }
+        })
+        .collect()
+}
+
 /// Every adversarial corpus from the issue, with page-tail misalignment
 /// represented by lengths straddling PAGE_SIZE and the 8-byte word size.
 fn corpora() -> Vec<(String, Vec<u8>)> {
@@ -131,6 +147,65 @@ fn compressed_len_only_matches_a_scalar_per_chunk_sweep() {
     }
 }
 
+/// One byte past the largest chunk size, so every chunk size of the Figure 6
+/// sweep — 64 KiB and 128 KiB included — sees full chunks and a tail.
+const FULL_SWEEP_LEN: usize = 128 * 1024 + 1;
+
+/// The scalar reference's stored length of `data` in `chunk`-byte pieces.
+fn scalar_stored_len(data: &[u8], chunk: ChunkSize) -> usize {
+    let scalar = scalar_codec(Algorithm::Lzo);
+    data.chunks(chunk.bytes())
+        .map(|piece| scalar.compress(piece).unwrap().len().min(piece.len()))
+        .sum()
+}
+
+#[test]
+fn lzo_compressed_len_only_matches_the_scalar_reference_on_full_chunks() {
+    // Every chunk size is full at least once, so chunks at and beyond the
+    // 64 KiB match-distance limit are pinned along with the smaller ones.
+    let corpora = [
+        ("noise", splitmix64_bytes(11, FULL_SWEEP_LEN)),
+        ("flip", flip_loop_page(FULL_SWEEP_LEN, 61, 4000)),
+        ("zeros", vec![0u8; FULL_SWEEP_LEN]),
+    ];
+    let mut scratch = Vec::new();
+    for (label, data) in &corpora {
+        for chunk in ChunkSize::figure6_sweep() {
+            let lens = ChunkedCodec::new(Algorithm::Lzo, chunk)
+                .compressed_len_only(data, &mut scratch)
+                .unwrap();
+            assert_eq!(
+                lens.compressed_len,
+                scalar_stored_len(data, chunk),
+                "lzo chunk {chunk} diverged on {label}"
+            );
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(24))]
+
+    #[test]
+    fn lzo_compressed_len_only_matches_the_scalar_reference_on_random_buffers(
+        (len, period, seed, repetitive) in
+            (0usize..70_000, 1usize..96, any::<u64>(), any::<bool>()),
+    ) {
+        // Lengths span the 64 KiB match-distance limit; one 128 KiB chunk
+        // holds the whole buffer.
+        let data = if repetitive {
+            periodic_with_noise(period, len, seed)
+        } else {
+            splitmix64_bytes(seed, len)
+        };
+        let mut scratch = Vec::new();
+        let counted = ChunkedCodec::new(Algorithm::Lzo, ChunkSize::k128())
+            .compressed_len_only(&data, &mut scratch)
+            .unwrap();
+        prop_assert_eq!(counted.compressed_len, scalar_stored_len(&data, ChunkSize::k128()));
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
@@ -149,15 +224,7 @@ proptest! {
     fn random_repetitive_buffers_compress_identically(
         (period, len, seed) in (1usize..96, 0usize..5000, any::<u64>()),
     ) {
-        // Periodic data with noise perturbations: dense match candidates,
-        // adversarial for the lazy-match and chain-walk order.
-        let noise = splitmix64_bytes(seed, len);
-        let data: Vec<u8> = (0..len)
-            .map(|i| {
-                let base = ((i / period) % 7 + i % period) as u8;
-                if noise[i] < 12 { noise[i] } else { base }
-            })
-            .collect();
+        let data = periodic_with_noise(period, len, seed);
         for algorithm in Algorithm::ALL {
             let fast = algorithm.codec().compress(&data).unwrap();
             let slow = scalar_codec(algorithm).compress(&data).unwrap();

@@ -26,7 +26,7 @@ use ariadne_mem::{
 };
 use ariadne_zram::{
     swap_scheme_identity, writeback::charge_fault_io, AccessKind, AccessOutcome, ReclaimOutcome,
-    ReleasedFootprint, SchemeContext, SchemeStats, SwapScheme, ZpoolWriteback,
+    ReleasedFootprint, ResolvedBatch, SchemeContext, SchemeStats, SwapScheme, ZpoolWriteback,
 };
 
 /// Metadata remembered for pages sitting in the pre-decompression buffer so
@@ -122,13 +122,15 @@ impl AriadneScheme {
     fn compress_group(
         &mut self,
         group: &CompressionGroup,
+        batch: &ResolvedBatch,
         clock: &mut SimClock,
         ctx: &SchemeContext,
     ) -> CostNanos {
         // The oracle memoizes the codec run per (pages, algorithm, chunk
         // size): a group evicted, faulted back and evicted again is a hash
         // lookup, not a synthesis + codec pass. Sizes are bit-identical.
-        let outcome = ctx.compress_pages(&group.pages, self.algorithm(), group.chunk_size);
+        let outcome =
+            ctx.compress_pages_in(batch, &group.pages, self.algorithm(), group.chunk_size);
         self.stats.record_oracle(&outcome);
         let compressed_len = outcome.compressed_len;
         let cost = ctx.compression_cost(
@@ -229,8 +231,14 @@ impl AriadneScheme {
         let reclaimed = victims.len();
         let mut latency = CostNanos::zero();
         let groups = self.adaptive.group_victims(&victims);
+        // Resolve the batch's oracle misses on spare cores first; the store
+        // loop below then consults the oracle group by group as before.
+        let batch = ctx.resolve_batch(
+            groups.iter().map(|g| (g.pages.as_slice(), g.chunk_size)),
+            self.algorithm(),
+        );
         for group in &groups {
-            let cost = self.compress_group(group, clock, ctx);
+            let cost = self.compress_group(group, &batch, clock, ctx);
             if synchronous {
                 latency += cost;
                 clock.advance(cost);

@@ -14,6 +14,10 @@
 //!   e.g. flash retirement inside a flash submit — are not double-counted;
 //! * **disabled by default**: `span()` is one relaxed atomic load until the
 //!   bench harness calls [`enable`]`(true)`.
+//!
+//! Phase totals are summed *thread* time, not wall time: codec work a reclaim
+//! batch moves onto helper threads is still counted (each helper opens its
+//! own `Codec` span), so totals may exceed a cell's wall-clock.
 
 use std::cell::Cell;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};

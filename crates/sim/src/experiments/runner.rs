@@ -23,16 +23,18 @@ use crate::schemes::SchemeSpec;
 use crate::system::{MobileSystem, SimulationConfig};
 use ariadne_mem::CpuActivity;
 use ariadne_trace::TimedScenario;
+use ariadne_zram::fanout::BusyCores;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 
 /// The cap on simultaneously live experiment threads: the host's available
-/// parallelism (falling back to 8 when the platform cannot report it —
-/// over-subscribing slightly is harmless, unbounded spawning is not).
+/// parallelism, read once per process
+/// ([`ariadne_zram::fanout::available_parallelism`]), falling back to 8 when
+/// the platform cannot report it — over-subscribing slightly is harmless,
+/// unbounded spawning is not.
 #[must_use]
 pub fn max_parallel_cells() -> usize {
-    std::thread::available_parallelism()
-        .map(std::num::NonZeroUsize::get)
+    ariadne_zram::fanout::available_parallelism()
         .unwrap_or(8)
         .max(1)
 }
@@ -68,18 +70,23 @@ where
     std::thread::scope(|scope| {
         let handles: Vec<_> = (0..workers)
             .map(|_| {
-                scope.spawn(|| loop {
-                    let index = cursor.fetch_add(1, Ordering::Relaxed);
-                    if index >= n {
-                        break;
+                scope.spawn(|| {
+                    // Counted busy while it runs cells, so reclaim batches
+                    // only fan out to cores the pool leaves idle.
+                    let _busy = BusyCores::worker();
+                    loop {
+                        let index = cursor.fetch_add(1, Ordering::Relaxed);
+                        if index >= n {
+                            break;
+                        }
+                        let cell = inputs[index]
+                            .lock()
+                            .expect("input slot lock")
+                            .take()
+                            .expect("cell claimed twice");
+                        let output = run(cell);
+                        *outputs[index].lock().expect("output slot lock") = Some(output);
                     }
-                    let cell = inputs[index]
-                        .lock()
-                        .expect("input slot lock")
-                        .take()
-                        .expect("cell claimed twice");
-                    let output = run(cell);
-                    *outputs[index].lock().expect("output slot lock") = Some(output);
                 })
             })
             .collect();

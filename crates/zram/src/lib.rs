@@ -22,6 +22,7 @@
 #![warn(missing_docs)]
 
 pub mod dram_only;
+pub mod fanout;
 pub mod oracle;
 pub mod scheme;
 pub mod swap;
@@ -34,7 +35,7 @@ pub use oracle::{
 };
 pub use scheme::{
     AccessKind, AccessOutcome, MemoryConfig, MemoryPressure, PressureLevel, ReclaimOutcome,
-    ReleasedFootprint, SchemeContext, SchemeStats, SwapScheme, WritebackPolicy,
+    ReleasedFootprint, ResolvedBatch, SchemeContext, SchemeStats, SwapScheme, WritebackPolicy,
 };
 pub use swap::FlashSwapScheme;
 pub use writeback::ZpoolWriteback;

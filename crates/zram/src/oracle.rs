@@ -282,6 +282,22 @@ impl CompressionOracle {
         self.stats
     }
 
+    /// Load the reused probe key with `(pages, algorithm, chunk_size,
+    /// variant)` (no allocation once the key has grown to the group size).
+    fn set_probe(
+        &mut self,
+        pages: &[PageId],
+        algorithm: Algorithm,
+        chunk_size: ChunkSize,
+        variant: u64,
+    ) {
+        self.key_scratch.algorithm = algorithm;
+        self.key_scratch.chunk_size = chunk_size;
+        self.key_scratch.variant = variant;
+        self.key_scratch.pages.clear();
+        self.key_scratch.pages.extend_from_slice(pages);
+    }
+
     /// Probe the cache for `(pages, algorithm, chunk_size, variant)`. A hit
     /// updates the LRU order and the hit/bytes-saved counters; a miss (or a
     /// disabled oracle) returns `None` without touching anything, so callers
@@ -305,11 +321,7 @@ impl CompressionOracle {
         if !self.enabled {
             return None;
         }
-        self.key_scratch.algorithm = algorithm;
-        self.key_scratch.chunk_size = chunk_size;
-        self.key_scratch.variant = variant;
-        self.key_scratch.pages.clear();
-        self.key_scratch.pages.extend_from_slice(pages);
+        self.set_probe(pages, algorithm, chunk_size, variant);
         let slot = *self.index.get(&self.key_scratch)?;
         self.recency
             .move_front(&mut self.entries, RECENCY_CHANNEL, slot);
@@ -330,6 +342,24 @@ impl CompressionOracle {
         self.stats.hits += 1;
         self.stats.bytes_saved += original_len;
         Some(outcome)
+    }
+
+    /// Whether `(pages, algorithm, chunk_size, variant)` is memoized, without
+    /// counting a consultation or touching the LRU order: batch resolution
+    /// peeks ahead of the real consultations with it, so the hit/miss
+    /// counters and eviction order stay exactly those of the consultations.
+    pub fn contains(
+        &mut self,
+        pages: &[PageId],
+        algorithm: Algorithm,
+        chunk_size: ChunkSize,
+        variant: u64,
+    ) -> bool {
+        if !self.enabled {
+            return false;
+        }
+        self.set_probe(pages, algorithm, chunk_size, variant);
+        self.index.contains_key(&self.key_scratch)
     }
 
     /// Whether a cold run should build the full [`CompressedImage`] so it
@@ -363,11 +393,7 @@ impl CompressionOracle {
             return outcome;
         }
         self.stats.misses += 1;
-        self.key_scratch.algorithm = algorithm;
-        self.key_scratch.chunk_size = chunk_size;
-        self.key_scratch.variant = variant;
-        self.key_scratch.pages.clear();
-        self.key_scratch.pages.extend_from_slice(pages);
+        self.set_probe(pages, algorithm, chunk_size, variant);
         if self.index.contains_key(&self.key_scratch) {
             return outcome;
         }

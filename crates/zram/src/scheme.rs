@@ -6,14 +6,15 @@
 //! drives schemes exclusively through this trait, so the baseline-versus-
 //! Ariadne comparisons of the paper's evaluation are apples-to-apples.
 
+use crate::fanout::BusyCores;
 use crate::oracle::{
     CodecScratch, CompressionOracle, OracleHandle, OracleOutcome, OracleShards, OracleStats,
 };
 use ariadne_compress::{
-    Algorithm, ChunkSize, CostNanos, LatencyModel, ThermalConfig, ThermalModel,
+    Algorithm, ChunkSize, CompressedLen, CostNanos, LatencyModel, ThermalConfig, ThermalModel,
 };
 use ariadne_mem::{
-    AppId, CpuBreakdown, FlashIoConfig, FlashStats, MainMemory, MemTimingModel, PageId,
+    AppId, CpuBreakdown, FlashIoConfig, FlashStats, FxHashMap, MainMemory, MemTimingModel, PageId,
     PageLocation, ReclaimReason, ReclaimRequest, SimClock, Watermarks, ZpoolStats, PAGE_SIZE,
 };
 use ariadne_obs::metrics::names as metric_names;
@@ -22,6 +23,7 @@ use ariadne_trace::{AppProfile, AppWorkload, PageDataGenerator};
 use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 use std::fmt;
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
 thread_local! {
@@ -489,11 +491,7 @@ impl SchemeContext {
     /// Panics if the page belongs to an application that was not part of the
     /// workloads this context was built from.
     pub fn fill_page_bytes(&self, page: PageId, out: &mut [u8; PAGE_SIZE]) {
-        let profile = self
-            .profiles
-            .get(&page.app())
-            .unwrap_or_else(|| panic!("no profile registered for {}", page.app()));
-        self.data.fill_page_bytes(profile, page, out);
+        fill_page(&self.data, &self.profiles, page, out);
     }
 
     /// Concatenated contents of several pages (what a multi-page compression
@@ -525,9 +523,134 @@ impl SchemeContext {
         algorithm: Algorithm,
         chunk_size: ChunkSize,
     ) -> OracleOutcome {
+        self.consult(pages, algorithm, chunk_size, None)
+    }
+
+    /// [`SchemeContext::compress_pages`] for one group of a batch resolved
+    /// by [`SchemeContext::resolve_batch`]: the consultation is the same
+    /// (same oracle counters, same LRU order), but a miss takes the length
+    /// the batch already computed instead of running the codec here.
+    ///
+    /// # Panics
+    ///
+    /// As [`SchemeContext::compress_pages`].
+    #[must_use]
+    pub fn compress_pages_in(
+        &self,
+        batch: &ResolvedBatch,
+        pages: &[PageId],
+        algorithm: Algorithm,
+        chunk_size: ChunkSize,
+    ) -> OracleOutcome {
+        self.consult(pages, algorithm, chunk_size, Some(batch))
+    }
+
+    /// Compute, ahead of a reclaim batch's sequential consultations, the
+    /// lengths of every group the oracle does not hold, spreading the codec
+    /// runs over spare cores. The oracle is only peeked
+    /// ([`CompressionOracle::contains`]): nothing is counted, admitted or
+    /// reordered until the caller consults each group through
+    /// [`SchemeContext::compress_pages_in`], in its own order. A group
+    /// evicted between the peek and its consultation is simply computed
+    /// there, as without a batch.
+    ///
+    /// The batch comes back empty — every miss then runs inline, exactly as
+    /// [`SchemeContext::compress_pages`] would — when fewer than two groups
+    /// miss, when no core is spare (see [`crate::fanout`]), or when the
+    /// oracle caches payloads (the payload path needs whole images).
+    ///
+    /// # Panics
+    ///
+    /// As [`SchemeContext::compress_pages`]; a panic on a helper thread is
+    /// propagated.
+    #[must_use]
+    pub fn resolve_batch<'a>(
+        &self,
+        groups: impl ExactSizeIterator<Item = (&'a [PageId], ChunkSize)>,
+        algorithm: Algorithm,
+    ) -> ResolvedBatch {
+        if self.oracle.caches_payloads() {
+            return ResolvedBatch::default();
+        }
+        // Claim helpers before peeking the oracle, so a batch with no core
+        // spare (every batch of a saturated grid) costs one atomic load.
+        let helpers = BusyCores::spare(groups.len().saturating_sub(1));
+        if helpers.count() == 0 {
+            return ResolvedBatch::default();
+        }
+        let misses: Vec<(&[PageId], ChunkSize)> = {
+            let _codec = profile::span(Phase::Codec);
+            let mut seen = FxHashMap::default();
+            groups
+                .filter(|&(pages, chunk_size)| {
+                    let variant = self.content_variant(pages);
+                    !self
+                        .oracle
+                        .shard(pages, algorithm, chunk_size, variant)
+                        .lock()
+                        .expect("oracle lock poisoned")
+                        .contains(pages, algorithm, chunk_size, variant)
+                        && seen.insert((pages, chunk_size), ()).is_none()
+                })
+                .collect()
+        };
+        if misses.len() < 2 {
+            return ResolvedBatch::default();
+        }
+        let spawned = helpers.count().min(misses.len() - 1);
+        // Workers (this thread plus the helpers) claim misses through a
+        // shared cursor, so one large group cannot leave the others idle.
+        // Helpers are spawned per batch and start with empty thread-local
+        // codec and chain scratch. On a 2-core x86-64 VM, spawn + join plus
+        // that fresh scratch cost 60–70 µs per helper; a `relaunch_cycle`
+        // simulation fans out 75 batches of about 400 misses each (20–160
+        // µs apiece), so the setup is about 5 ms of a 1.2 s simulation. A
+        // persistent helper pool would only pay off for much smaller
+        // batches.
+        let cursor = AtomicUsize::new(0);
+        let (data, profiles) = (&self.data, &self.profiles);
+        let work = || {
+            let _codec = profile::span(Phase::Codec);
+            let mut done = Vec::new();
+            loop {
+                let index = cursor.fetch_add(1, Ordering::Relaxed);
+                let Some(&(pages, chunk_size)) = misses.get(index) else {
+                    break;
+                };
+                let (lens, _) = CODEC_SCRATCH.with(|scratch| {
+                    scratch.borrow_mut().compress(
+                        pages,
+                        algorithm,
+                        chunk_size,
+                        false,
+                        &mut |page, buf| fill_page(data, profiles, page, buf),
+                    )
+                });
+                done.push(((algorithm, chunk_size, pages.to_vec()), lens));
+            }
+            done
+        };
+        let lens = std::thread::scope(|scope| {
+            let handles: Vec<_> = (0..spawned).map(|_| scope.spawn(work)).collect();
+            let mut lens: FxHashMap<_, _> = work().into_iter().collect();
+            for handle in handles {
+                lens.extend(handle.join().expect("batch helper panicked"));
+            }
+            lens
+        });
+        ResolvedBatch { lens }
+    }
+
+    fn consult(
+        &self,
+        pages: &[PageId],
+        algorithm: Algorithm,
+        chunk_size: ChunkSize,
+        batch: Option<&ResolvedBatch>,
+    ) -> OracleOutcome {
         // Host-time attribution only; the simulated result is untouched.
         let _codec = profile::span(Phase::Codec);
-        let outcome = self.consult_oracle(pages, algorithm, chunk_size);
+        let outcome = self.consult_oracle(pages, algorithm, chunk_size, batch);
         if self.metrics.is_enabled() && outcome.original_len > 0 {
             self.metrics.count(
                 metric_names::COMPRESS_ORIGINAL_BYTES,
@@ -550,6 +673,7 @@ impl SchemeContext {
         pages: &[PageId],
         algorithm: Algorithm,
         chunk_size: ChunkSize,
+        batch: Option<&ResolvedBatch>,
     ) -> OracleOutcome {
         // Two-phase consultation so no shard lock is ever held across a
         // codec run: pick the key's shard without locking, probe under that
@@ -567,15 +691,21 @@ impl SchemeContext {
             }
             oracle.caches_payloads()
         };
-        let (lens, image) = CODEC_SCRATCH.with(|scratch| {
-            scratch.borrow_mut().compress(
-                pages,
-                algorithm,
-                chunk_size,
-                want_image,
-                &mut |page, buf| self.fill_page_bytes(page, buf),
-            )
-        });
+        let resolved = batch
+            .filter(|_| !want_image)
+            .and_then(|batch| batch.get(pages, algorithm, chunk_size));
+        let (lens, image) = match resolved {
+            Some(lens) => (lens, None),
+            None => CODEC_SCRATCH.with(|scratch| {
+                scratch.borrow_mut().compress(
+                    pages,
+                    algorithm,
+                    chunk_size,
+                    want_image,
+                    &mut |page, buf| self.fill_page_bytes(page, buf),
+                )
+            }),
+        };
         shard
             .lock()
             .expect("oracle lock poisoned")
@@ -649,6 +779,55 @@ impl SchemeContext {
     #[must_use]
     pub fn profile(&self, app: AppId) -> Option<&AppProfile> {
         self.profiles.get(&app)
+    }
+}
+
+/// Synthesize `page` into `out` from the generator and profiles a
+/// [`SchemeContext`] holds. A free function so batch helper threads can
+/// borrow just these two (the context itself is not `Sync`).
+fn fill_page(
+    data: &PageDataGenerator,
+    profiles: &HashMap<AppId, AppProfile>,
+    page: PageId,
+    out: &mut [u8; PAGE_SIZE],
+) {
+    let profile = profiles
+        .get(&page.app())
+        .unwrap_or_else(|| panic!("no profile registered for {}", page.app()));
+    data.fill_page_bytes(profile, page, out);
+}
+
+/// The lengths of one reclaim batch's oracle misses, computed by
+/// [`SchemeContext::resolve_batch`] and taken by the batch's consultations
+/// through [`SchemeContext::compress_pages_in`]. Empty when the batch was
+/// not worth resolving ahead; every miss then runs its codec inline.
+#[derive(Debug, Default)]
+pub struct ResolvedBatch {
+    lens: FxHashMap<(Algorithm, ChunkSize, Vec<PageId>), CompressedLen>,
+}
+
+impl ResolvedBatch {
+    /// Whether the batch holds no lengths.
+    #[must_use]
+    pub fn is_empty(&self) -> bool {
+        self.lens.is_empty()
+    }
+
+    /// The precomputed length of a group, if the batch holds it. Only asked
+    /// on an oracle miss, where the key's allocation is noise next to the
+    /// codec run it replaces.
+    fn get(
+        &self,
+        pages: &[PageId],
+        algorithm: Algorithm,
+        chunk_size: ChunkSize,
+    ) -> Option<CompressedLen> {
+        if self.lens.is_empty() {
+            return None;
+        }
+        self.lens
+            .get(&(algorithm, chunk_size, pages.to_vec()))
+            .copied()
     }
 }
 

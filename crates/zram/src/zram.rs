@@ -12,7 +12,7 @@
 
 use crate::scheme::{
     AccessKind, AccessOutcome, MemoryConfig, MemoryPressure, PressureLevel, ReclaimOutcome,
-    ReleasedFootprint, SchemeContext, SchemeStats, SwapScheme, WritebackPolicy,
+    ReleasedFootprint, ResolvedBatch, SchemeContext, SchemeStats, SwapScheme, WritebackPolicy,
 };
 use crate::swap_scheme_identity;
 use crate::writeback::{charge_fault_io, ZpoolWriteback};
@@ -74,13 +74,14 @@ impl ZramScheme {
     fn compress_page(
         &mut self,
         page: PageId,
+        batch: &ResolvedBatch,
         clock: &mut SimClock,
         ctx: &SchemeContext,
     ) -> CostNanos {
         // The oracle memoizes the codec run: recompressing the same page
         // (relaunch storms do this constantly) is a hash lookup, not a
         // synthesis + codec pass. Sizes are bit-identical either way.
-        let outcome = ctx.compress_pages(&[page], self.config.algorithm, ChunkSize::k4());
+        let outcome = ctx.compress_pages_in(batch, &[page], self.config.algorithm, ChunkSize::k4());
         self.stats.record_oracle(&outcome);
         let compressed_len = outcome.compressed_len;
         let cost = ctx.compression_cost(
@@ -204,7 +205,8 @@ impl ZramScheme {
             let Some(page) = self.pick_one_victim() else {
                 break;
             };
-            let cost = self.compress_page(page, clock, ctx);
+            // Direct reclaim takes one page at a time: nothing to batch.
+            let cost = self.compress_page(page, &ResolvedBatch::default(), clock, ctx);
             latency += cost;
             clock.advance(cost);
         }
@@ -343,9 +345,17 @@ impl SwapScheme for ZramScheme {
         let scan = ctx.timing.reclaim_scan(victims.len().max(1));
         clock.charge_cpu(CpuActivity::ReclaimScan, scan);
         self.stats.cpu.charge(CpuActivity::ReclaimScan, scan);
+        // Resolve the batch's oracle misses on spare cores first; the store
+        // loop below then consults the oracle page by page as before.
+        let batch = ctx.resolve_batch(
+            victims
+                .iter()
+                .map(|page| (std::slice::from_ref(page), ChunkSize::k4())),
+            self.config.algorithm,
+        );
         let mut reclaimed = 0usize;
         for page in victims {
-            self.compress_page(page, clock, ctx);
+            self.compress_page(page, &batch, clock, ctx);
             reclaimed += 1;
         }
         ReclaimOutcome {

@@ -60,8 +60,12 @@ impl Criterion {
 /// Units for reporting throughput alongside time.
 #[derive(Debug, Clone, Copy)]
 pub enum Throughput {
-    /// The routine processes this many bytes per iteration.
+    /// The routine processes this many bytes per iteration (reported in
+    /// binary units, GiB/s).
     Bytes(u64),
+    /// The routine processes this many bytes per iteration (reported in
+    /// decimal units, MB/s).
+    BytesDecimal(u64),
     /// The routine processes this many logical elements per iteration.
     Elements(u64),
 }
@@ -138,6 +142,10 @@ impl BenchmarkGroup<'_> {
             Some(Throughput::Bytes(bytes)) if mean > Duration::ZERO => {
                 let gib_s = bytes as f64 / mean.as_secs_f64() / (1u64 << 30) as f64;
                 format!("  ({gib_s:.3} GiB/s)")
+            }
+            Some(Throughput::BytesDecimal(bytes)) if mean > Duration::ZERO => {
+                let mb_s = bytes as f64 / mean.as_secs_f64() / 1e6;
+                format!("  ({mb_s:.1} MB/s)")
             }
             Some(Throughput::Elements(n)) if mean > Duration::ZERO => {
                 let elem_s = n as f64 / mean.as_secs_f64();

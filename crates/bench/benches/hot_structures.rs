@@ -12,6 +12,7 @@
 use ariadne_compress::reference::scalar_codec;
 use ariadne_compress::{Algorithm, ChunkSize, ChunkedCodec};
 use ariadne_mem::{AppId, FlashDevice, Hotness, PageId, Pfn, WriteRequest, Zpool, PAGE_SIZE};
+use ariadne_trace::{AppName, AppProfile, PageDataGenerator};
 use ariadne_zram::CompressionOracle;
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
 
@@ -163,28 +164,49 @@ fn kernel_corpus() -> Vec<u8> {
     corpus
 }
 
+/// 64 consecutive synthetic pages of one app, as the simulator's page
+/// synthesiser produces them for `profile`.
+fn generated_pages(profile: &AppProfile) -> Vec<u8> {
+    let generator = PageDataGenerator::new(7);
+    let app = AppId::new(profile.name.uid());
+    (0..64u64)
+        .flat_map(|pfn| generator.page_bytes(profile, PageId::new(app, Pfn::new(pfn))))
+        .collect()
+}
+
+/// Time `compressed_len` over `corpus` cut into `unit`-byte pieces and
+/// report MB/s over the whole corpus.
+fn bench_kernel(
+    c: &mut Criterion,
+    name: &str,
+    corpus: &[u8],
+    unit: usize,
+    compressed_len: &dyn Fn(&[u8], &mut Vec<u8>) -> usize,
+) {
+    let mut out = Vec::with_capacity(2 * unit);
+    let mut group = c.benchmark_group(name);
+    group.throughput(Throughput::BytesDecimal(corpus.len() as u64));
+    group.bench_function("", |b| {
+        b.iter(|| {
+            corpus
+                .chunks(unit)
+                .map(|piece| compressed_len(piece, &mut out))
+                .sum::<usize>()
+        })
+    });
+    group.finish();
+}
+
 /// Compress the corpus page by page with every algorithm, once with the
 /// production word-wide kernel and once with the scalar reference loop the
-/// kernel replaced, plus LZO through `ChunkedCodec::compressed_len_only` at
-/// 4 KiB chunks (what an oracle miss runs). Each line reports MB/s over the
-/// corpus, so the SWAR speedup (or a regression) is directly visible per
-/// algorithm.
+/// kernel replaced, plus LZO through `ChunkedCodec::compressed_len_only`
+/// (what an oracle miss runs): at 4 KiB chunks on the synthetic corpus, and
+/// in 16 KiB groups at 16 KiB chunks — the cold-group class, the largest
+/// share of miss work — on synthesised calibrated and incompressible app
+/// pages. Each line reports MB/s over its corpus, so the SWAR speedup (or a
+/// regression) is directly visible per algorithm.
 fn compression_kernels(c: &mut Criterion) {
     let corpus = kernel_corpus();
-    let mut kernel = |name: String, compressed_len: &dyn Fn(&[u8], &mut Vec<u8>) -> usize| {
-        let mut out = Vec::with_capacity(2 * PAGE_SIZE);
-        let mut group = c.benchmark_group(name);
-        group.throughput(Throughput::BytesDecimal(corpus.len() as u64));
-        group.bench_function("", |b| {
-            b.iter(|| {
-                corpus
-                    .chunks(PAGE_SIZE)
-                    .map(|page| compressed_len(page, &mut out))
-                    .sum::<usize>()
-            })
-        });
-        group.finish();
-    };
     let encode = |codec: Box<dyn ariadne_compress::Codec>| {
         move |page: &[u8], out: &mut Vec<u8>| {
             out.clear();
@@ -193,22 +215,52 @@ fn compression_kernels(c: &mut Criterion) {
         }
     };
     for algorithm in Algorithm::ALL {
-        kernel(
-            format!("kernel_{algorithm}_swar"),
+        bench_kernel(
+            c,
+            &format!("kernel_{algorithm}_swar"),
+            &corpus,
+            PAGE_SIZE,
             &encode(algorithm.codec()),
         );
-        kernel(
-            format!("kernel_{algorithm}_scalar"),
+        bench_kernel(
+            c,
+            &format!("kernel_{algorithm}_scalar"),
+            &corpus,
+            PAGE_SIZE,
             &encode(scalar_codec(algorithm)),
         );
     }
-    let chunked = ChunkedCodec::new(Algorithm::Lzo, ChunkSize::k4());
-    kernel("kernel_lzo_len_only".to_string(), &|page, out| {
-        chunked
-            .compressed_len_only(page, out)
-            .expect("compress")
-            .compressed_len
-    });
+    let len_only = |chunk: ChunkSize| {
+        let codec = ChunkedCodec::new(Algorithm::Lzo, chunk);
+        move |piece: &[u8], out: &mut Vec<u8>| {
+            codec
+                .compressed_len_only(piece, out)
+                .expect("compress")
+                .compressed_len
+        }
+    };
+    bench_kernel(
+        c,
+        "kernel_lzo_len_only",
+        &corpus,
+        PAGE_SIZE,
+        &len_only(ChunkSize::k4()),
+    );
+    for (name, profile) in [
+        ("kernel_lzo_len_only_pages", AppName::Youtube.profile()),
+        (
+            "kernel_lzo_len_only_noise",
+            AppProfile::incompressible(AppName::Youtube),
+        ),
+    ] {
+        bench_kernel(
+            c,
+            name,
+            &generated_pages(&profile),
+            4 * PAGE_SIZE,
+            &len_only(ChunkSize::k16()),
+        );
+    }
 }
 
 /// The observability primitives that sit on simulation hot paths: a counter

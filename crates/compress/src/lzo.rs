@@ -30,8 +30,11 @@ thread_local! {
     /// harmless: a chain walk only reaches positions inserted during the
     /// current pass, and every insertion writes `prev[p]` first. Links are
     /// `u32` (positions are bounded by the packed head table anyway), which
-    /// halves the chain's cache traffic — every input position is inserted
-    /// exactly once, so the insert path is the hottest loop in the codec.
+    /// halves the chain's cache traffic. Every position below `n - 4` is
+    /// inserted exactly once, and a query position's insert doubles as its
+    /// chain lookup, so the compress loop touches one head slot per input
+    /// byte: the per-position bookkeeping, not the chain walk, is what
+    /// dominates on pages with few matches.
     static CHAIN_SCRATCH: RefCell<(StampedTable, Vec<u32>)> =
         RefCell::new((StampedTable::new(1 << HASH_LOG), Vec::new()));
 }
@@ -80,9 +83,18 @@ impl Lzo {
         ((word.wrapping_mul(2_654_435_761)) >> (32 - HASH_LOG)) as usize
     }
 
-    /// Find the longest match for `pos` by walking the hash chain, keeping
-    /// only matches strictly longer than `floor` (callers pass
-    /// `MIN_MATCH - 1`, or the length a candidate must displace).
+    /// Find the longest match for `pos` by walking the hash chain from
+    /// `first`, keeping only matches strictly longer than `floor` (callers
+    /// pass `MIN_MATCH - 1`, or the length a candidate must displace).
+    ///
+    /// `first` is the head of `pos`'s chain as a lookup *before* inserting
+    /// `pos` would read it (`usize::MAX` for an empty chain). The caller
+    /// gets it from the same head-table access that inserts `pos` (the
+    /// `chain_head` step of the compress loop), so each query position
+    /// touches its head slot once. The walk never reads `prev[pos]`, so
+    /// inserting first cannot change which candidates it sees. Both query
+    /// sites inline the walk, so a position with an empty chain (most of
+    /// them on incompressible data) costs no call.
     ///
     /// The floor doubles as a cheap rejection filter: a candidate whose byte
     /// at the current-best offset differs from `input[pos + best]` cannot
@@ -91,10 +103,11 @@ impl Lzo {
     /// running best evolves through the same strict improvements, so the
     /// match returned — and therefore the emitted stream — is identical to
     /// the unfiltered walk.
+    #[inline(always)]
     fn find_match(
         input: &[u8],
         pos: usize,
-        head: &StampedTable,
+        first: usize,
         prev: &[u32],
         max_len: usize,
         floor: usize,
@@ -104,7 +117,7 @@ impl Lzo {
         }
         let mut best_len = floor;
         let mut best_dist = 0usize;
-        let mut candidate = head.get(Self::hash(input, pos));
+        let mut candidate = first;
         let mut chain = 0usize;
         // `best_len < max_len` holds throughout (a best reaching `max_len`
         // breaks out below), so the probe byte is always in bounds.
@@ -246,8 +259,10 @@ impl Codec for Lzo {
 impl Lzo {
     /// The compress loop proper, operating on borrowed per-thread scratch.
     /// Identical match decisions to the scalar reference: the stamped head
-    /// table behaves exactly like a fresh `vec![usize::MAX; _]`, and the
-    /// word-wide compare returns the same lengths the byte loop did.
+    /// table behaves exactly like a fresh `vec![usize::MAX; _]`, the
+    /// word-wide compare returns the same lengths the byte loop did, and a
+    /// query position is inserted before its chain walk instead of after it,
+    /// which the walk cannot observe (see [`Lzo::find_match`]).
     fn compress_with_scratch(
         &self,
         input: &[u8],
@@ -258,25 +273,29 @@ impl Lzo {
         let n = input.len();
         let hash_limit = n.saturating_sub(MIN_MATCH);
 
-        let insert = |head: &mut StampedTable, prev: &mut [u32], p: usize| {
+        // Insert query position `p` and return the head it displaced: the
+        // first chain candidate a lookup before the insert would have read,
+        // for one head-slot access instead of a `get` and a `replace`. The
+        // last query position (`n - 4`) is never inserted, so it only reads.
+        let chain_head = |head: &mut StampedTable, prev: &mut [u32], p: usize| {
+            let h = Self::hash(input, p);
             if p < hash_limit {
-                let h = Self::hash(input, p);
+                let first = head.replace(h, p);
                 // Truncating the `usize::MAX` empty sentinel yields
                 // `u32::MAX`, the chain-end sentinel the walk widens back.
-                prev[p] = head.replace(h, p) as u32;
+                prev[p] = first as u32;
+                first
+            } else {
+                head.get(h)
             }
         };
 
         let mut anchor = 0usize;
         let mut pos = 0usize;
         while pos + MIN_MATCH <= n {
-            let max_len = n - pos;
-            let found = Self::find_match(input, pos, head, prev, max_len, MIN_MATCH - 1);
-            match found {
-                None => {
-                    insert(head, prev, pos);
-                    pos += 1;
-                }
+            let first = chain_head(head, prev, pos);
+            match Self::find_match(input, pos, first, prev, n - pos, MIN_MATCH - 1) {
+                None => pos += 1,
                 Some((len, dist)) => {
                     // Lazy evaluation: peek one position ahead; if it yields a
                     // strictly longer match, emit the current byte as a
@@ -285,31 +304,31 @@ impl Lzo {
                     let mut use_dist = dist;
                     let mut start = pos;
                     if pos + 1 + MIN_MATCH <= n {
-                        insert(head, prev, pos);
+                        let first = chain_head(head, prev, pos + 1);
                         // A lazy match only displaces the current one when it
                         // is strictly longer than `len + 1`; passing that as
                         // the floor lets the walk reject non-improving
                         // candidates on a single byte probe.
                         if let Some((len2, dist2)) =
-                            Self::find_match(input, pos + 1, head, prev, n - pos - 1, len + 1)
+                            Self::find_match(input, pos + 1, first, prev, n - pos - 1, len + 1)
                         {
                             debug_assert!(len2 > len + 1);
                             use_len = len2;
                             use_dist = dist2;
                             start = pos + 1;
                         }
-                    } else {
-                        insert(head, prev, pos);
                     }
 
                     Self::emit_literals(out, &input[anchor..start]);
                     Self::emit_match(out, use_len, use_dist);
 
-                    // Index the positions covered by the match.
+                    // Index the rest of the positions the match covers. The
+                    // queries above inserted `pos` and `pos + 1` already (or
+                    // `pos + 1` is past `hash_limit` and never inserted).
                     let end = start + use_len;
-                    let mut p = start.max(pos + 1);
+                    let mut p = pos + 2;
                     while p < end && p < hash_limit {
-                        insert(head, prev, p);
+                        prev[p] = head.replace(Self::hash(input, p), p) as u32;
                         p += 1;
                     }
                     pos = end;

@@ -183,6 +183,139 @@ fn lzo_compressed_len_only_matches_the_scalar_reference_on_full_chunks() {
     }
 }
 
+/// LZO's 14-bit multiplicative hash of a 4-byte little-endian word, as the
+/// kernel and `reference::ScalarLzo` compute it for every position.
+fn lzo_hash(word: u32) -> u32 {
+    word.wrapping_mul(2_654_435_761) >> (32 - 14)
+}
+
+/// The first `count` distinct words whose LZO hash index is `index`: every
+/// one of them lands in the same head slot, so any two are a hash collision
+/// unless they are the same word.
+fn colliding_words(index: u32, count: usize) -> Vec<u32> {
+    (0u32..)
+        .filter(|&w| lzo_hash(w) == index)
+        .take(count)
+        .collect()
+}
+
+/// Word-aligned draws from a set of colliding words, with true repeats (an
+/// earlier stretch copied forward) mixed in. Every aligned position hashes
+/// to one slot, so chains run far past `MAX_CHAIN` and the nearest real
+/// match is often more than 16 collisions back.
+fn collision_chain_input(len: usize, seed: u64) -> Vec<u8> {
+    let words = colliding_words(0x1A5B, 24);
+    let mut data = Vec::with_capacity(len + 64);
+    for draw in splitmix64_bytes(seed, 2 * len).chunks_exact(8) {
+        let draw = u64::from_le_bytes(draw.try_into().expect("8-byte draw"));
+        let aligned_words = data.len() / 4;
+        if draw % 5 == 0 && aligned_words >= 16 {
+            // A true repeat: 2..=15 earlier words copied forward.
+            let copy = 2 + (draw / 5 % 14) as usize;
+            let from = (draw >> 32) as usize % (aligned_words - copy + 1);
+            data.extend_from_within(4 * from..4 * (from + copy));
+        } else {
+            data.extend_from_slice(&words[(draw >> 8) as usize % words.len()].to_le_bytes());
+        }
+        if data.len() >= len {
+            break;
+        }
+    }
+    data.truncate(len);
+    data
+}
+
+#[test]
+fn lzo_streams_match_the_scalar_reference_on_collision_chains() {
+    let lzo = scalar_codec(Algorithm::Lzo);
+    let data = collision_chain_input(64 * 1024 + 7, 13);
+    // The corpus must really exercise the cutoff: some aligned word's
+    // nearest earlier copy sits more than `MAX_CHAIN` same-slot positions
+    // back, behind collisions.
+    let words: Vec<u32> = data
+        .chunks_exact(4)
+        .map(|c| u32::from_le_bytes(c.try_into().expect("4-byte chunk")))
+        .collect();
+    let beyond_cutoff = (0..words.len()).any(|i| {
+        let same_slot = words[..i]
+            .iter()
+            .rev()
+            .take_while(|&&w| w != words[i])
+            .filter(|&&w| lzo_hash(w) == lzo_hash(words[i]))
+            .count();
+        same_slot > 16 && words[..i].contains(&words[i])
+    });
+    assert!(beyond_cutoff, "no chain runs past the cutoff");
+    for chunk in [1024usize, 4096, 16 * 1024, 64 * 1024] {
+        for (index, piece) in data.chunks(chunk).enumerate() {
+            let fast = Algorithm::Lzo.codec().compress(piece).unwrap();
+            let slow = lzo.compress(piece).unwrap();
+            assert_eq!(fast, slow, "chunk {chunk} piece {index} diverged");
+        }
+    }
+}
+
+/// Where the last match token of an LZO stream starts in the decoded
+/// output, or `None` for an all-literal stream. (A match longer than one
+/// token would report its last token; the inputs below are too short.)
+fn last_match_start(stream: &[u8]) -> Option<usize> {
+    let (mut at, mut out, mut last) = (0usize, 0usize, None);
+    while at < stream.len() {
+        let token = stream[at];
+        if token & 0x80 == 0 {
+            let run = (token & 0x7F) as usize + 1;
+            at += 1 + run;
+            out += run;
+        } else {
+            last = Some(out);
+            at += 3;
+            out += (token & 0x7F) as usize + 4;
+        }
+    }
+    last
+}
+
+#[test]
+fn lzo_streams_match_the_scalar_reference_when_the_last_match_ends_the_input() {
+    // `n - 4` is the one position that is queried but never inserted, and a
+    // match found at `n - 5` sends its lazy query there. Two families place
+    // the last match at either position for every length: a byte run after
+    // distinct bytes (distance 1), and the input's first bytes copied to its
+    // end (the longest distance the length allows).
+    let lzo = scalar_codec(Algorithm::Lzo);
+    for n in 5usize..=40 {
+        let distinct = |k: usize| (0..k).map(|i| 100 + i as u8);
+        let mut inputs = Vec::new();
+        for run in [5usize, 6] {
+            if run <= n {
+                inputs.push(
+                    distinct(n - run)
+                        .chain(std::iter::repeat(b'a').take(run))
+                        .collect(),
+                );
+            }
+        }
+        for copy in [4usize, 5] {
+            if 2 * copy <= n {
+                let mut data: Vec<u8> = distinct(n - copy).collect();
+                data.extend_from_within(..copy);
+                inputs.push(data);
+            }
+        }
+        let mut starts = Vec::new();
+        for data in inputs {
+            let fast = Algorithm::Lzo.codec().compress(&data).unwrap();
+            let slow = lzo.compress(&data).unwrap();
+            assert_eq!(fast, slow, "length {n} diverged on {data:?}");
+            starts.extend(last_match_start(&fast));
+        }
+        assert!(starts.contains(&(n - 4)), "length {n}: no match at n - 4");
+        if n > 5 {
+            assert!(starts.contains(&(n - 5)), "length {n}: no match at n - 5");
+        }
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 

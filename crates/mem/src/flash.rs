@@ -562,7 +562,7 @@ impl FlashDevice {
     /// Retire every command whose completion time has passed; its objects
     /// become at-rest flash data. Returns the number of commands retired.
     ///
-    /// Each retiring command walks its own [`CMD_CHANNEL`] chain — only the
+    /// Each retiring command walks its own `CMD_CHANNEL` chain — only the
     /// entries still live and in flight — and drains its parked fault tasks
     /// in one batch. Fault-cancelled slots left the chain at cancellation
     /// time, so a relaunch storm's worth of faults adds nothing to the

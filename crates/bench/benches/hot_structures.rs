@@ -113,7 +113,7 @@ fn oracle_lookup_admit(c: &mut Criterion) {
                 assert!(oracle
                     .lookup(&pages, algorithm, ChunkSize::k4(), 0)
                     .is_none());
-                oracle.admit(&pages, algorithm, ChunkSize::k4(), 0, lens, None);
+                oracle.admit(&pages, algorithm, ChunkSize::k4(), 0, lens);
             }
             let mut hits = 0usize;
             for round in 0..4 {

@@ -39,9 +39,8 @@
 //! one-shot device health report instead of running the catalog.
 
 use ariadne_bench::perf::{self, BenchCell, BenchMeta, BenchReport, PhaseMillis};
-use ariadne_obs::{profile, MetricsHandle, Phase, TraceHandle};
+use ariadne_obs::{json_escape, profile, MetricsHandle, Phase, TraceHandle};
 use ariadne_sim::experiments::{catalog, runner, status, ExperimentOptions};
-use ariadne_sim::report::json_string;
 use std::process::ExitCode;
 
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
@@ -126,8 +125,8 @@ fn print_list(json: bool) {
             .map(|(name, title)| {
                 format!(
                     "{{\"name\":{},\"title\":{}}}",
-                    json_string(name),
-                    json_string(title)
+                    json_escape(name),
+                    json_escape(title)
                 )
             })
             .collect();
@@ -244,7 +243,7 @@ fn main() -> ExitCode {
             match table {
                 Some(table) => tables.push(format!(
                     "{{\"name\":{},\"table\":{}}}",
-                    json_string(name),
+                    json_escape(name),
                     table.to_json()
                 )),
                 None => {
@@ -257,7 +256,7 @@ fn main() -> ExitCode {
             "{{\"seed\":{},\"scale\":{},\"mode\":{},\"experiments\":[{}]}}",
             opts.seed,
             opts.scale,
-            json_string(if opts.quick { "quick" } else { "full" }),
+            json_escape(if opts.quick { "quick" } else { "full" }),
             tables.join(",")
         );
     } else {

@@ -15,6 +15,7 @@
 //! minimal exact-shape reader for the writer's output, with tests pinning
 //! the round trip.
 
+use ariadne_obs::json_escape;
 use std::fmt::Write as _;
 use std::time::Instant;
 
@@ -154,7 +155,6 @@ impl BenchReport {
     /// Serialize to the `BENCH_*.json` format (deterministic key order).
     #[must_use]
     pub fn to_json(&self) -> String {
-        let escape = |s: &str| s.replace('\\', "\\\\").replace('"', "\\\"");
         let mut out = String::new();
         let _ = write!(
             out,
@@ -164,9 +164,9 @@ impl BenchReport {
         if let Some(meta) = &self.meta {
             let _ = write!(
                 out,
-                ",\"meta\":{{\"commit\":\"{}\",\"host\":\"{}\",\"cores\":{}}}",
-                escape(&meta.commit),
-                escape(&meta.host),
+                ",\"meta\":{{\"commit\":{},\"host\":{},\"cores\":{}}}",
+                json_escape(&meta.commit),
+                json_escape(&meta.host),
                 meta.cores
             );
         }
@@ -559,6 +559,21 @@ mod tests {
         assert_eq!(parsed, original);
         // The second cell carried no breakdown: parses back as `None`.
         assert_eq!(parsed.cells[1].phases, None);
+    }
+
+    #[test]
+    fn meta_control_characters_are_escaped() {
+        let mut original = report();
+        original.meta = Some(BenchMeta {
+            commit: "939b36c".to_string(),
+            host: "build\t\"box\"".to_string(),
+            cores: 2,
+        });
+        let text = original.to_json();
+        assert!(text.contains("\"host\":\"build\\t\\\"box\\\"\""), "{text}");
+        assert!(!text.contains('\t'), "a raw tab is invalid JSON: {text}");
+        let parsed = BenchReport::from_json(&text).unwrap();
+        assert_eq!(parsed.cells, original.cells);
     }
 
     #[test]

@@ -14,11 +14,11 @@
 //!   occupant (the classic ABA hazard of index reuse).
 //! * [`Chain`] — an intrusive doubly-linked list threaded *through* slab
 //!   slots. Every slot carries two independent link pairs ("channels"), so a
-//!   value can sit on two orders at once (e.g. an oracle entry on both the
-//!   recency list and the payload-budget list). Iteration order is insertion
-//!   order, which is exactly the deterministic order the `BTreeSet`-based
-//!   indices provided before (handles/slots are allocated in ascending order,
-//!   so ascending-key order ≡ insertion order).
+//!   value can sit on two orders at once (e.g. a flash slot on both its
+//!   app's list and its in-flight write command's list). Iteration order is
+//!   insertion order, which is exactly the deterministic order the
+//!   `BTreeSet`-based indices provided before (handles/slots are allocated in
+//!   ascending order, so ascending-key order ≡ insertion order).
 //! * [`FxHasher`] — the Firefox/rustc multiply-rotate hash for the hash maps
 //!   that must remain (key → slot lookups). It is not DoS-resistant, which is
 //!   fine for a simulator hashing its own dense identifiers, and it is

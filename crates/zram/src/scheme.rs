@@ -432,24 +432,13 @@ impl SchemeContext {
         self
     }
 
-    /// Replace the oracle (e.g. [`CompressionOracle::disabled`] to pin that
-    /// results are byte-identical with memoization off, or one with a
-    /// payload budget). The context gets its own fresh cache.
+    /// Enable or disable memoization, keeping everything else; the context
+    /// gets its own fresh cache. Results are byte-identical either way; only
+    /// host wall-clock changes.
     #[must_use]
-    pub fn with_oracle(mut self, oracle: CompressionOracle) -> Self {
-        self.oracle = Arc::new(OracleShards::new(oracle, OracleShards::DEFAULT_SHARDS));
+    pub fn with_oracle_enabled(mut self, enabled: bool) -> Self {
+        self.oracle = OracleHandle::enabled(enabled).0;
         self
-    }
-
-    /// Enable or disable memoization, keeping everything else. Results are
-    /// byte-identical either way; only host wall-clock changes.
-    #[must_use]
-    pub fn with_oracle_enabled(self, enabled: bool) -> Self {
-        if enabled {
-            self.with_oracle(CompressionOracle::new())
-        } else {
-            self.with_oracle(CompressionOracle::disabled())
-        }
     }
 
     /// Attach a shared oracle: this context joins the cache behind `handle`
@@ -556,8 +545,7 @@ impl SchemeContext {
     ///
     /// The batch comes back empty — every miss then runs inline, exactly as
     /// [`SchemeContext::compress_pages`] would — when fewer than two groups
-    /// miss, when no core is spare (see [`crate::fanout`]), or when the
-    /// oracle caches payloads (the payload path needs whole images).
+    /// miss or when no core is spare (see [`crate::fanout`]).
     ///
     /// # Panics
     ///
@@ -569,9 +557,6 @@ impl SchemeContext {
         groups: impl ExactSizeIterator<Item = (&'a [PageId], ChunkSize)>,
         algorithm: Algorithm,
     ) -> ResolvedBatch {
-        if self.oracle.caches_payloads() {
-            return ResolvedBatch::default();
-        }
         // Claim helpers before peeking the oracle, so a batch with no core
         // spare (every batch of a saturated grid) costs one atomic load.
         let helpers = BusyCores::spare(groups.len().saturating_sub(1));
@@ -617,14 +602,12 @@ impl SchemeContext {
                 let Some(&(pages, chunk_size)) = misses.get(index) else {
                     break;
                 };
-                let (lens, _) = CODEC_SCRATCH.with(|scratch| {
-                    scratch.borrow_mut().compress(
-                        pages,
-                        algorithm,
-                        chunk_size,
-                        false,
-                        &mut |page, buf| fill_page(data, profiles, page, buf),
-                    )
+                let lens = CODEC_SCRATCH.with(|scratch| {
+                    scratch
+                        .borrow_mut()
+                        .compress(pages, algorithm, chunk_size, &mut |page, buf| {
+                            fill_page(data, profiles, page, buf)
+                        })
                 });
                 done.push(((algorithm, chunk_size, pages.to_vec()), lens));
             }
@@ -684,32 +667,28 @@ impl SchemeContext {
         // construction and `admit` keeps the first.
         let variant = self.content_variant(pages);
         let shard = self.oracle.shard(pages, algorithm, chunk_size, variant);
-        let want_image = {
-            let mut oracle = shard.lock().expect("oracle lock poisoned");
-            if let Some(hit) = oracle.lookup(pages, algorithm, chunk_size, variant) {
-                return hit;
-            }
-            oracle.caches_payloads()
-        };
-        let resolved = batch
-            .filter(|_| !want_image)
-            .and_then(|batch| batch.get(pages, algorithm, chunk_size));
-        let (lens, image) = match resolved {
-            Some(lens) => (lens, None),
-            None => CODEC_SCRATCH.with(|scratch| {
-                scratch.borrow_mut().compress(
-                    pages,
-                    algorithm,
-                    chunk_size,
-                    want_image,
-                    &mut |page, buf| self.fill_page_bytes(page, buf),
-                )
-            }),
-        };
+        if let Some(hit) = shard
+            .lock()
+            .expect("oracle lock poisoned")
+            .lookup(pages, algorithm, chunk_size, variant)
+        {
+            return hit;
+        }
+        let lens = batch
+            .and_then(|batch| batch.get(pages, algorithm, chunk_size))
+            .unwrap_or_else(|| {
+                CODEC_SCRATCH.with(|scratch| {
+                    scratch
+                        .borrow_mut()
+                        .compress(pages, algorithm, chunk_size, &mut |page, buf| {
+                            self.fill_page_bytes(page, buf)
+                        })
+                })
+            });
         shard
             .lock()
             .expect("oracle lock poisoned")
-            .admit(pages, algorithm, chunk_size, variant, lens, image)
+            .admit(pages, algorithm, chunk_size, variant, lens)
     }
 
     /// The content-variant tag of a page group: one bit per page, set when
@@ -750,29 +729,6 @@ impl SchemeContext {
     #[must_use]
     pub fn oracle_stats(&self) -> OracleStats {
         self.oracle.stats()
-    }
-
-    /// A clone of the compressed image the oracle cached for `(pages,
-    /// algorithm, chunk_size)`, if payload caching kept one. Tests use this
-    /// to pin that cached payloads are bit-identical to fresh codec runs.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the oracle lock was poisoned by a panicking thread.
-    #[must_use]
-    pub fn cached_image(
-        &self,
-        pages: &[PageId],
-        algorithm: Algorithm,
-        chunk_size: ChunkSize,
-    ) -> Option<ariadne_compress::CompressedImage> {
-        let variant = self.content_variant(pages);
-        self.oracle
-            .shard(pages, algorithm, chunk_size, variant)
-            .lock()
-            .expect("oracle lock poisoned")
-            .cached_image(pages, algorithm, chunk_size, variant)
-            .cloned()
     }
 
     /// The profile of `app`, if it is part of the workload set.

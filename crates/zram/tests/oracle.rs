@@ -1,11 +1,11 @@
 //! Property tests for the memoized compression oracle: a cache hit must be
 //! bit-identical to a cold codec run, for every algorithm × chunk size ×
-//! page group, with the oracle enabled, disabled, or payload-caching.
+//! page group, with the oracle enabled or disabled.
 
 use ariadne_compress::{Algorithm, ChunkSize, ChunkedCodec};
 use ariadne_mem::{PageId, PAGE_SIZE};
 use ariadne_trace::{AppName, WorkloadBuilder};
-use ariadne_zram::{CompressionOracle, SchemeContext};
+use ariadne_zram::SchemeContext;
 use proptest::prelude::*;
 
 /// The workload pages oracle groups are drawn from (two apps, so groups can
@@ -52,7 +52,8 @@ proptest! {
     // The core bit-identity contract: for any group, algorithm and chunk
     // size, (a) a cold oracle run, (b) a cache hit, (c) a disabled-oracle
     // run and (d) a direct `ChunkedCodec::compress` of the synthesized
-    // bytes all report the same sizes.
+    // bytes all report the same sizes, and that compression decompresses
+    // back to the synthesized bytes.
     #[test]
     fn oracle_hits_are_bit_identical_to_cold_codec_runs(
         picks in proptest::collection::vec(proptest::prelude::any::<u16>(), 1..6),
@@ -74,9 +75,10 @@ proptest! {
             .compress_pages(&group, algorithm, chunk_size);
         prop_assert!(!off.hit);
 
-        let image = ChunkedCodec::new(algorithm, chunk_size)
-            .compress(&ctx.pages_bytes(&group))
-            .expect("compression cannot fail");
+        let codec = ChunkedCodec::new(algorithm, chunk_size);
+        let bytes = ctx.pages_bytes(&group);
+        let image = codec.compress(&bytes).expect("compression cannot fail");
+        prop_assert_eq!(codec.decompress(&image).expect("roundtrip"), bytes);
 
         for outcome in [&cold, &hit, &off] {
             prop_assert_eq!(outcome.original_len, group.len() * PAGE_SIZE);
@@ -84,34 +86,6 @@ proptest! {
             prop_assert_eq!(outcome.compressed_len, image.compressed_len());
             prop_assert_eq!(outcome.chunk_count, image.chunk_count());
         }
-    }
-
-    // Payload caching: the cached image is the genuine compression of the
-    // genuine page bytes — it decompresses back to them exactly and equals
-    // a fresh codec run chunk for chunk.
-    #[test]
-    fn cached_payloads_are_the_real_compressed_images(
-        picks in proptest::collection::vec(proptest::prelude::any::<u16>(), 1..4),
-        alg_pick in 0u8..3,
-        chunk_pick in 0u8..11,
-    ) {
-        let (ctx, pages) = harness();
-        let ctx = ctx.with_oracle(CompressionOracle::new().with_payload_budget(1 << 20));
-        let group = group(&pages, &picks);
-        let algorithm = algorithm(alg_pick);
-        let chunk_size = chunk_size(chunk_pick);
-
-        let outcome = ctx.compress_pages(&group, algorithm, chunk_size);
-        let bytes = ctx.pages_bytes(&group);
-        let codec = ChunkedCodec::new(algorithm, chunk_size);
-        let fresh = codec.compress(&bytes).expect("compression cannot fail");
-        prop_assert_eq!(outcome.compressed_len, fresh.compressed_len());
-
-        let cached = ctx
-            .cached_image(&group, algorithm, chunk_size)
-            .expect("payload cached within the 1 MiB budget");
-        prop_assert_eq!(&cached, &fresh);
-        prop_assert_eq!(codec.decompress(&cached).expect("roundtrip"), bytes);
     }
 }
 
